@@ -709,9 +709,7 @@ let micro () : (string * float * float option) list =
   let adpcm_code =
     Sim.Code.of_prog (Apps.Adpcm.app.Apps.App.build ~seed:1).Apps.App.prog
   in
-  let gsm_code =
-    Sim.Code.of_prog (Apps.Gsm.app.Apps.App.build ~seed:1).Apps.App.prog
-  in
+
   (* Dynamic instruction count per workload, read back through the
      sim.instructions obs counter so the derived throughput column
      measures exactly what the engines report. *)
@@ -751,6 +749,25 @@ let micro () : (string * float * float option) list =
        (Staged.stage (fun () -> ignore (Sim.Interp.run_exn c))),
      dyn_of c)
   in
+  (* interp-tagged micros: the configuration campaign trials actually
+     run — fast engine under the protect-nothing mask (Full tagging),
+     empty plan — so every value-producing instruction is tagged and
+     counts an ordinal. Tags do not change the instruction count. *)
+  let interp_tagged name prog c =
+    let tags =
+      Core.Tagging.mask
+        (Core.Tagging.compute ~protect_addresses:true prog)
+        Core.Policy.Protect_nothing
+    in
+    let image = Sim.Interp.compile ~tags c in
+    let injection = Sim.Interp.injection ~tags ~plan:[] in
+    (Test.make ~name
+       (Staged.stage (fun () ->
+            ignore (Sim.Interp.run ~image ~injection ~lenient:true c))),
+     dyn_of c)
+  in
+  let gsm = (Apps.Gsm.app.Apps.App.build ~seed:1).Apps.App.prog in
+  let gsm_code = Sim.Code.of_prog gsm in
   let plain t = (t, None) in
   let tests =
     [
@@ -758,6 +775,8 @@ let micro () : (string * float * float option) list =
       interp "interp: mcf (100k instrs)" mcf_code;
       interp "interp: adpcm (160k instrs)" adpcm_code;
       interp "interp: gsm (1.2M instrs)" gsm_code;
+      interp_tagged "interp-tagged: susan (630k instrs)" susan code;
+      interp_tagged "interp-tagged: gsm (1.2M instrs)" gsm gsm_code;
       interp_ref "interp-ref: susan (630k instrs)" code;
       interp_ref "interp-ref: mcf (100k instrs)" mcf_code;
       plain
@@ -802,7 +821,7 @@ let micro () : (string * float * float option) list =
                 Some (d /. ns *. 1e3)
               | _ -> None
             in
-            say "  %-32s %14.1f ns/run  (%.3f ms)%s" (Test.Elt.name elt) ns
+            say "  %-34s %14.1f ns/run  (%.3f ms)%s" (Test.Elt.name elt) ns
               (ns /. 1e6)
               (match mips with
                | Some m -> Printf.sprintf "  %8.1f Minstr/s" m
@@ -812,24 +831,27 @@ let micro () : (string * float * float option) list =
       tests
   in
   (* Engine regression guard: the threaded engine must never come out
-     slower than the reference loop on the susan micro. A violation is
-     a build/perf regression and fails the bench run (and CI's
-     bench-smoke job) loudly. *)
+     slower than the reference loop on the susan micro — untagged, and
+     tagged as campaigns run it (against the untagged reference loop,
+     the stricter bound). A violation is a build/perf regression and
+     fails the bench run (and CI's bench-smoke job) loudly. *)
   let ns_of name =
     List.find_map
       (fun (n, ns, _) -> if n = name then Some ns else None)
       results
   in
-  (match (ns_of "interp: susan (630k instrs)",
-          ns_of "interp-ref: susan (630k instrs)") with
-   | Some fast, Some ref_ns
-     when Float.is_finite fast && Float.is_finite ref_ns && fast > ref_ns ->
-     failwith
-       (Printf.sprintf
-          "engine regression: fast interp slower than ref on susan \
-           (%.0f ns/run > %.0f ns/run)"
-          fast ref_ns)
-   | _ -> ());
+  List.iter
+    (fun fast_row ->
+      match (ns_of fast_row, ns_of "interp-ref: susan (630k instrs)") with
+      | Some fast, Some ref_ns
+        when Float.is_finite fast && Float.is_finite ref_ns && fast > ref_ns ->
+        failwith
+          (Printf.sprintf
+             "engine regression: %s slower than ref on susan (%.0f ns/run > \
+              %.0f ns/run)"
+             fast_row fast ref_ns)
+      | _ -> ())
+    [ "interp: susan (630k instrs)"; "interp-tagged: susan (630k instrs)" ];
   results
 
 (* ------------------------------------------------------------------ *)

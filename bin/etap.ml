@@ -156,6 +156,13 @@ let emit ?json ~command ~meta tables =
 let meta_int k v = (k, Report.Json.Int v)
 let meta_jobs jobs = ("jobs", Report.Json.of_int_opt jobs)
 
+(* Campaign sizes from flags go through the same range check as matrix
+   specs and daemon requests. *)
+let counts_ok ~errors ~trials =
+  Result.map_error
+    (fun m -> `Msg m)
+    (Harness.Experiment.check_counts ~errors ~trials)
+
 let find_app name =
   match Apps.Registry.find name with
   | Some app -> Ok app
@@ -445,7 +452,8 @@ let inject_cmd =
                   else None)
                summaries);
           say "wrote %s" path)
-      (find_app name)
+      (Result.bind (counts_ok ~errors:[ errors ] ~trials) (fun () ->
+           find_app name))
   in
   Cmd.v
     (Cmd.info "inject" ~doc:"Run a fault-injection campaign on one app")
@@ -518,8 +526,8 @@ let matrix_cmd =
         (fun acc s ->
           let* acc = acc in
           match int_of_string_opt s with
-          | Some n when n > 0 -> Ok (acc @ [ n ])
-          | _ -> Error (`Msg (Printf.sprintf "bad error count %S" s)))
+          | Some n -> Ok (acc @ [ n ])
+          | None -> Error (`Msg (Printf.sprintf "bad error count %S" s)))
         (Ok []) (split_commas errors_s)
     in
     let base =
@@ -550,6 +558,9 @@ let matrix_cmd =
           match Harness.Matrix.spec_of_json ~base j with
           | Ok s -> Ok s
           | Error m -> Error (`Msg (Printf.sprintf "%s: %s" path m))))
+    in
+    let* () =
+      counts_ok ~errors:s.Harness.Matrix.errors ~trials:s.Harness.Matrix.trials
     in
     let spec_meta =
       Harness.Matrix.spec_meta ~engine ~jobs ~checkpoint_stride ~cache_dir s
@@ -683,6 +694,7 @@ let audit_cmd =
       if literal then Harness.Experiment.Literal else Harness.Experiment.Full
     in
     let loaded_res =
+      Result.bind (counts_ok ~errors:[ errors ] ~trials) @@ fun () ->
       match app with
       | None -> Ok (Harness.Experiment.load_all ~seed ?jobs ())
       | Some name ->
@@ -789,7 +801,8 @@ let profile_cmd =
         | Some path ->
           Report.write_json ~path (Harness.Profile.report ?top p);
           say "wrote %s" path)
-      (find_app name)
+      (Result.bind (counts_ok ~errors:[ errors ] ~trials) (fun () ->
+           find_app name))
   in
   Cmd.v
     (Cmd.info "profile"

@@ -15,6 +15,18 @@ type mode =
 
 let mode_name = function Full -> "full" | Literal -> "literal"
 
+(* The one range check on campaign sizes, shared by every surface that
+   accepts them — CLI flags, matrix specs, daemon requests — so a bad
+   count is a typed usage error everywhere instead of a raw exception
+   from deep in a campaign (negative trials) or a silently empty
+   result (zero trials, negative errors). *)
+let check_counts ~errors ~trials : (unit, string) result =
+  match List.find_opt (fun e -> e < 0) errors with
+  | Some e -> Error (Printf.sprintf "errors must be >= 0, got %d" e)
+  | None ->
+    if trials < 1 then Error (Printf.sprintf "trials must be >= 1, got %d" trials)
+    else Ok ()
+
 type loaded = {
   app : Apps.App.t;
   built : Apps.App.built;

@@ -643,5 +643,6 @@ let spec_of_json ~(base : spec) (j : Report.Json.t) :
       | Some (Bool false) -> Stdlib.Ok Experiment.Full
       | Some _ -> Stdlib.Error "spec field \"literal\": expected a bool"
     in
+    let* () = Experiment.check_counts ~errors ~trials in
     Stdlib.Ok { apps; mode; policies; errors; trials; seed }
   | _ -> Stdlib.Error "matrix spec: expected a JSON object"

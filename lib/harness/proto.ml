@@ -80,6 +80,7 @@ let inject_of_json (j : J.t) : (request, string) result =
   let d = inject_defaults in
   let* errors = field_int j "errors" d.errors in
   let* trials = field_int j "trials" d.trials in
+  let* () = Experiment.check_counts ~errors:[ errors ] ~trials in
   let* seed = field_int j "seed" d.seed in
   let* literal = field_bool j "literal" d.literal in
   Ok (Inject { app; errors; trials; seed; literal })

@@ -59,6 +59,8 @@ type t = {
   funcs : dfunc array;
   fid_of_name : (string, int) Hashtbl.t;
   entry_fid : int;
+  max_int_regs : int;  (* widest int bank over all functions, >= 1 *)
+  max_flt_regs : int;  (* widest float bank over all functions, >= 1 *)
 }
 
 let ridx = Ir.Reg.index
@@ -128,7 +130,15 @@ let of_prog (prog : Ir.Prog.t) =
   let funcs =
     Array.of_list (List.map (decode_func prog fid_of_name) funcs_list)
   in
-  { prog; funcs; fid_of_name; entry_fid = Hashtbl.find fid_of_name prog.Ir.Prog.entry }
+  let widest f = Array.fold_left (fun acc df -> max acc (f df)) 1 funcs in
+  {
+    prog;
+    funcs;
+    fid_of_name;
+    entry_fid = Hashtbl.find fid_of_name prog.Ir.Prog.entry;
+    max_int_regs = widest (fun df -> df.n_int);
+    max_flt_regs = widest (fun df -> df.n_flt);
+  }
 
 let n_funcs t = Array.length t.funcs
 let func t fid = t.funcs.(fid)

@@ -17,8 +17,8 @@
    against the next pending entry instead of a hash probe on every
    injectable execution.
 
-   Execution is an *explicit machine* (see Machine): a frame stack of
-   {fid; pc; iregs; fregs} plus the dynamic counters, so the full
+   Execution is an *explicit machine* (see Machine): a stack of frame
+   slots {fid; pc; iregs; fregs} plus the dynamic counters, so the full
    architectural state is a first-class value — execution can pause at
    any injectable-ordinal boundary, be captured into an immutable
    [snapshot], and resume later, the basis of checkpointed
@@ -102,6 +102,11 @@ type image = Machine.image
 
 let compile = Threaded.compile
 
+let trace_shape (img : image) ~fid ~pc =
+  match img.ishapes.(fid).(pc) with
+  | -1 -> None
+  | v -> Some (v lsr 20, v land 0xFFFFF)
+
 type machine = Machine.t
 
 let machine ?image ?injection ?lenient ?budget ?count_exec ?memory code :
@@ -122,7 +127,7 @@ let exec m =
   let memory = m.memory in
   let pause_at = m.pause_at in
   while is_running m do
-    let fr = match m.stack with fr :: _ -> fr | [] -> assert false in
+    let fr = m.frames.(m.depth) in
     let df = Array.unsafe_get funcs fr.fid in
     let body = df.Code.dbody in
     let len = Array.length body in
@@ -221,19 +226,20 @@ let exec m =
         let callee_depth = m.depth + 1 in
         if callee_depth > max_call_depth then
           raise (Trap.Error (Trap.Call_stack_overflow callee_depth));
-        let nf = fresh_frame m.code c.Code.fid in
+        let callee = Array.unsafe_get funcs c.Code.fid in
+        let nf =
+          enter m c.Code.fid (max callee.Code.n_int 1) (max callee.Code.n_flt 1)
+        in
         Array.iter
           (fun (src, dst) -> nf.iregs.(dst) <- iregs.(src))
           c.Code.iargs;
         Array.iter
           (fun (src, dst) -> nf.fregs.(dst) <- fregs.(src))
-          c.Code.fargs;
-        m.depth <- callee_depth;
-        m.stack <- nf :: m.stack
+          c.Code.fargs
         (* head frame changed: fall out to the outer loop *)
-      | Code.DRetI r -> return m (Some (Value.I iregs.(r)))
-      | Code.DRetF r -> return m (Some (Value.F fregs.(r)))
-      | Code.DRetV -> return m None
+      | Code.DRetI r -> return_i m iregs.(r)
+      | Code.DRetF r -> return_f m fregs.(r)
+      | Code.DRetV -> return_v m
     in
     loop fr.pc
   done
@@ -252,9 +258,8 @@ let advance m ~pause_at : [ `Paused | `Halted ] =
          points at the trapping instruction; traps raised inside a
          callee are attributed innermost (the callee is the head
          frame). *)
-      let site =
-        match m.stack with fr :: _ -> Some (fr.fid, fr.pc) | [] -> None
-      in
+      let fr = m.frames.(m.depth) in
+      let site = Some (fr.fid, fr.pc) in
       m.status <- Trapped_ (t, site);
       `Halted
     | Timeout_exn ->

@@ -92,9 +92,17 @@ val compile : ?tags:bool array array -> Code.t -> image
     {!injection} — the machine constructors enforce this by physical
     equality. *)
 
+val trace_shape : image -> fid:int -> pc:int -> (int * int) option
+(** [Some (micros, tagged)] when the fast engine enters a fused trace
+    at body index [pc] of function [fid]: its micro-op count (its
+    worst-case dyn) and how many of those consume an injectable
+    ordinal. [None] where that pc dispatches per instruction. For tests
+    and diagnostics. *)
+
 (** {1 Explicit machine}
 
-    The plain interpreter is an explicit machine — a frame stack plus
+    The plain interpreter is an explicit machine — a stack of frame
+    slots plus
     the dynamic counters — so execution can pause at any
     injectable-ordinal boundary, be captured into an immutable
     {!snapshot}, and resume later. This is the substrate of

@@ -2,11 +2,23 @@
 
    Both the reference match-dispatch loop (Interp) and the
    threaded-closure engine (Threaded) drive the same explicit machine:
-   a frame stack of {fid; pc; iregs; fregs} plus the dynamic counters
-   and the plan cursor. Everything observable about a run — ordinals,
-   landed faults and their sites, trap provenance, pause/capture/resume
-   — is defined here once, so the engines can only differ in how they
-   dispatch instructions, never in what a dispatched instruction does.
+   a stack of frame slots {fid; pc; iregs; fregs}, one per call depth,
+   plus the dynamic counters and the plan cursor. Everything observable
+   about a run — ordinals, landed faults and their sites, trap
+   provenance, pause/capture/resume — is defined here once, so the
+   engines can only differ in how they dispatch instructions, never in
+   what a dispatched instruction does.
+
+   Calls and returns allocate no frame, register array, list cell or
+   [Value.t] in either engine: a frame slot is created the first time a
+   depth is reached and reused by every later call at that depth (its
+   register banks are sized for the program's widest function and
+   zeroed on entry), and returns write the callee's result straight
+   into the caller's destination register through typed [return_i] /
+   [return_f] / [return_v] instead of boxing a [Value.t]. The fast
+   engine's calls therefore allocate nothing at all; the reference
+   engine still builds its per-frame dispatch closure at every frame
+   switch (Interp.exec).
 
    The [fast] field selects the engine: a machine built from a
    compiled [image] carries the closure table and is driven by
@@ -83,14 +95,20 @@ let no_counts : int array = [||]
 let no_tags : bool array = [||]
 let no_ops : bool array array = [||]
 
-(* One activation record. [pc] always holds the body index of the
-   instruction currently (or next) being dispatched whenever the
-   machine is observable (paused, trapped, or at a frame switch), so
-   trap provenance and snapshot/resume both read it directly. While a
-   callee runs, the caller's [pc] stays parked on its DCall — return
-   write-back and the post-call resume point are recovered from it. *)
+(* One activation record, living in the machine's slot for its call
+   depth. [pc] always holds the body index of the instruction currently
+   (or next) being dispatched whenever the machine is observable
+   (paused, trapped, or at a frame switch), so trap provenance and
+   snapshot/resume both read it directly. While a callee runs, the
+   caller's [pc] stays parked on its DCall — return write-back and the
+   post-call resume point are recovered from it.
+
+   The banks are sized for the program's widest function
+   ([Code.max_int_regs]/[max_flt_regs]) so one slot serves whichever
+   function is called at its depth; only the first [max n 1] entries
+   belong to the running function — the rest are never read. *)
 type frame = {
-  fid : int;
+  mutable fid : int;
   mutable pc : int;
   iregs : int array;
   fregs : float array;
@@ -123,7 +141,10 @@ type t = {
       (* fid of the frame the dispatch loop is executing in — the
          landing-site attribution for the next fault. Synced when the
          head frame changes and on return write-back. *)
-  mutable stack : frame list;  (* innermost frame first; never empty while Running *)
+  mutable frames : frame array;
+      (* slot per call depth, [frames.(depth)] is the head frame; slots
+         above [depth] are kept for reuse by later calls, unallocated
+         ones hold [no_frame] *)
   mutable depth : int;         (* depth of the head frame; entry frame is 0 *)
   mutable status : status;
   fast : op array array;
@@ -137,21 +158,24 @@ type t = {
       (* the head frame, cached for the fast engine: ops are unary
          closures over the machine (a unary unknown application is a
          bare code-pointer jump in ocamlopt — no caml_apply arity
-         check), so the frame rides in this field, set by the driver at
-         each re-entry. Meaningless between driver entries of the
-         reference engine. *)
+         check), so the frame rides in this field, set at every call,
+         return and [advance] entry. Unused by the reference engine. *)
 }
 
 and op = t -> unit
 (* One compiled instruction: executes against the machine ([run_fr]
-   holds the head frame), then either tail-calls its successor closure
-   (straight-line and branch flow) or returns unit when the head frame
-   changed (call, return) so the driver re-enters. *)
+   holds the head frame), then tail-calls its successor closure —
+   across calls and returns too — and returns unit only when the
+   machine halts. *)
 
 type image = {
   icode : Code.t;
   itags : bool array array;
   iops : op array array;
+  ishapes : int array array;
+      (* fid -> pc -> [micros lsl 20 lor tagged micros] of the fused
+         trace at that pc, or -1 where it dispatches per instruction;
+         diagnostics only (Interp.trace_shape) *)
   (* Pristine memory prototypes, one per access model: a machine built
      from an image deep-copies one of these (a handful of memcpys)
      instead of replaying the global-initialization walk of
@@ -160,14 +184,22 @@ type image = {
   imem_lenient : Memory.t;
 }
 
-let fresh_frame (code : Code.t) fid =
-  let df = code.Code.funcs.(fid) in
+(* Placeholder for a slot no call has reached yet; never mutated. *)
+let no_frame = { fid = -1; pc = 0; iregs = [||]; fregs = [||] }
+
+let new_slot (code : Code.t) fid =
   {
     fid;
     pc = 0;
-    iregs = Array.make (max df.Code.n_int 1) 0;
-    fregs = Array.make (max df.Code.n_flt 1) 0.0;
+    iregs = Array.make code.Code.max_int_regs 0;
+    fregs = Array.make code.Code.max_flt_regs 0.0;
   }
+
+(* Slot table for a stack [depth] deep: capacity at least 8 and a
+   power of two, so deep recursion grows it O(log depth) times. *)
+let slot_table depth =
+  let rec cap c = if c > depth then c else cap (2 * c) in
+  Array.make (cap 8) no_frame
 
 (* An image is valid for exactly the (code, tags) pair it was compiled
    against: tag rows are baked into the closures, so running it under
@@ -223,7 +255,9 @@ let make ?image ?injection ?lenient ?(budget = default_budget)
     | Some { tags; _ } -> tags
     | None -> [||]
   in
-  let entry = fresh_frame code code.Code.entry_fid in
+  let entry = new_slot code code.Code.entry_fid in
+  let frames = slot_table 0 in
+  frames.(0) <- entry;
   {
     code;
     memory;
@@ -243,7 +277,7 @@ let make ?image ?injection ?lenient ?(budget = default_budget)
     land_fids = Array.make (Array.length plan_ords) 0;
     land_pcs = Array.make (Array.length plan_ords) 0;
     cur_fid = code.Code.entry_fid;
-    stack = [ entry ];
+    frames;
     depth = 0;
     status = Running;
     fast = (match image with Some img -> img.iops | None -> [||]);
@@ -296,33 +330,95 @@ let inject_f m ftags pc x =
   end
   else x
 
-(* Pop the head frame and deliver [v] to its caller (or halt when it
-   was the entry frame). Return write-back runs the injection hook at
-   the caller's DCall, exactly where the recursive interpreter ran it,
-   then steps the caller past the call. *)
-let return m (v : Value.t option) =
-  match m.stack with
-  | [] -> assert false
-  | [ _ ] -> m.status <- Done_ v
-  | _ :: (caller :: _ as rest) ->
-    m.stack <- rest;
-    m.depth <- m.depth - 1;
-    let df = m.code.Code.funcs.(caller.fid) in
-    m.cur_fid <- caller.fid;
-    (match df.Code.dbody.(caller.pc) with
-     | Code.DCall c ->
-       (if c.Code.dst >= 0 then
-          let ftags =
-            if m.has_injection then m.all_tags.(caller.fid) else no_tags
-          in
-          match v with
-          | Some (Value.I x) when not c.Code.dst_flt ->
-            caller.iregs.(c.Code.dst) <- inject_i m ftags caller.pc x
-          | Some (Value.F x) when c.Code.dst_flt ->
-            caller.fregs.(c.Code.dst) <- inject_f m ftags caller.pc x
-          | _ -> invalid_arg "return bank mismatch at runtime");
-       caller.pc <- caller.pc + 1
-     | _ -> assert false)
+(* Push a frame for [fid] at depth [m.depth + 1] and return it, its
+   first [ni]/[nf] registers zeroed ([max n 1] of the callee's banks:
+   everything the callee can read). The caller has already checked the
+   depth bound, so the overflow trap is attributed to its DCall. The
+   engines copy the arguments in and switch dispatch themselves. *)
+let enter m fid ni nf =
+  let k = m.depth + 1 in
+  if k >= Array.length m.frames then begin
+    let t = slot_table k in
+    Array.blit m.frames 0 t 0 (Array.length m.frames);
+    m.frames <- t
+  end;
+  let fr = Array.unsafe_get m.frames k in
+  let fr =
+    if fr == no_frame then begin
+      let s = new_slot m.code fid in
+      m.frames.(k) <- s;
+      s
+    end
+    else begin
+      fr.fid <- fid;
+      fr.pc <- 0;
+      let r = fr.iregs in
+      for i = 0 to ni - 1 do
+        Array.unsafe_set r i 0
+      done;
+      let f = fr.fregs in
+      for i = 0 to nf - 1 do
+        Array.unsafe_set f i 0.0
+      done;
+      fr
+    end
+  in
+  m.depth <- k;
+  fr
+
+(* Pop the head frame and return the caller's, with [cur_fid] synced
+   to it. Typed return write-back (below) then runs the injection hook
+   at the caller's DCall, exactly where the recursive interpreter ran
+   it, and steps the caller past the call. Returning from the entry
+   frame halts instead. *)
+let pop m =
+  let k = m.depth - 1 in
+  m.depth <- k;
+  let caller = Array.unsafe_get m.frames k in
+  m.cur_fid <- caller.fid;
+  caller
+
+let call_site m (caller : frame) =
+  match m.code.Code.funcs.(caller.fid).Code.dbody.(caller.pc) with
+  | Code.DCall c -> c
+  | _ -> assert false
+
+let bank_mismatch () = invalid_arg "return bank mismatch at runtime"
+
+let caller_tags m (caller : frame) =
+  if m.has_injection then m.all_tags.(caller.fid) else no_tags
+
+let return_i m x =
+  if m.depth = 0 then m.status <- Done_ (Some (Value.I x))
+  else begin
+    let caller = pop m in
+    let c = call_site m caller in
+    if c.Code.dst >= 0 then begin
+      if c.Code.dst_flt then bank_mismatch ();
+      caller.iregs.(c.Code.dst) <- inject_i m (caller_tags m caller) caller.pc x
+    end;
+    caller.pc <- caller.pc + 1
+  end
+
+let return_f m x =
+  if m.depth = 0 then m.status <- Done_ (Some (Value.F x))
+  else begin
+    let caller = pop m in
+    let c = call_site m caller in
+    if c.Code.dst >= 0 then begin
+      if not c.Code.dst_flt then bank_mismatch ();
+      caller.fregs.(c.Code.dst) <- inject_f m (caller_tags m caller) caller.pc x
+    end;
+    caller.pc <- caller.pc + 1
+  end
+
+let return_v m =
+  if m.depth = 0 then m.status <- Done_ None
+  else begin
+    let caller = pop m in
+    if (call_site m caller).Code.dst >= 0 then bank_mismatch ();
+    caller.pc <- caller.pc + 1
+  end
 
 let is_running m = match m.status with Running -> true | _ -> false
 
@@ -341,14 +437,22 @@ type snapshot = {
   s_code : Code.t;
   s_budget : int;
   s_memory : Memory.t;
-  s_frames : frame array;  (* innermost first, like the live stack *)
+  s_frames : frame array;
+      (* the live frames, innermost first, each bank trimmed to its
+         function's [max n 1] registers *)
   s_depth : int;
   s_dyn : int;
   s_inj_seen : int;
 }
 
-let copy_frame fr =
-  { fr with iregs = Array.copy fr.iregs; fregs = Array.copy fr.fregs }
+let trimmed_copy (code : Code.t) fr =
+  let df = code.Code.funcs.(fr.fid) in
+  {
+    fid = fr.fid;
+    pc = fr.pc;
+    iregs = Array.sub fr.iregs 0 (max df.Code.n_int 1);
+    fregs = Array.sub fr.fregs 0 (max df.Code.n_flt 1);
+  }
 
 let capture m : snapshot =
   (match m.status with
@@ -362,7 +466,9 @@ let capture m : snapshot =
     s_code = m.code;
     s_budget = m.budget;
     s_memory = Memory.copy m.memory;
-    s_frames = Array.of_list (List.map copy_frame m.stack);
+    s_frames =
+      Array.init (m.depth + 1) (fun i ->
+          trimmed_copy m.code m.frames.(m.depth - i));
     s_depth = m.depth;
     s_dyn = m.dyn;
     s_inj_seen = m.inj_seen;
@@ -385,11 +491,17 @@ let restore ?image ?injection (s : snapshot) : t =
     | Some { tags; _ } -> tags
     | None -> [||]
   in
-  let frames = Array.map copy_frame s.s_frames in
-  let head =
-    if Array.length frames > 0 then frames.(0)
-    else fresh_frame s.s_code s.s_code.Code.entry_fid
-  in
+  let depth = s.s_depth in
+  let frames = slot_table depth in
+  for k = 0 to depth do
+    let sf = s.s_frames.(depth - k) in
+    let fr = new_slot s.s_code sf.fid in
+    fr.pc <- sf.pc;
+    Array.blit sf.iregs 0 fr.iregs 0 (Array.length sf.iregs);
+    Array.blit sf.fregs 0 fr.fregs 0 (Array.length sf.fregs);
+    frames.(k) <- fr
+  done;
+  let head = frames.(depth) in
   {
     code = s.s_code;
     memory = Memory.copy s.s_memory;
@@ -409,8 +521,8 @@ let restore ?image ?injection (s : snapshot) : t =
     land_fids = Array.make (Array.length plan_ords) 0;
     land_pcs = Array.make (Array.length plan_ords) 0;
     cur_fid = head.fid;
-    stack = Array.to_list frames;
-    depth = s.s_depth;
+    frames;
+    depth;
     status = Running;
     fast = (match image with Some img -> img.iops | None -> [||]);
     pause_at = max_int;

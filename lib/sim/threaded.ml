@@ -8,10 +8,15 @@
    the tag mask, and touches the register banks only through
    [Array.unsafe_get]/[unsafe_set] (indices were validated at decode).
    Control transfer is direct threading: every closure fetches its
-   successor from the shared [ops] array and tail-calls it, so a whole
-   basic-block chain runs without returning to a driver; the driver
-   loop below re-enters only when the head frame changes (call or
-   return) or the machine halts.
+   successor from the shared [ops] array and tail-calls it — across
+   calls and returns too, which switch the head frame slot and keep
+   threading — so a whole run executes without returning to the [exec]
+   loop below, which is entered once per [advance].
+
+   On top of the per-instruction closures, [trace fusion] (below)
+   overlays a closure at every trace head that runs a whole straight-
+   line trace of packed micro-ops — tagged instructions included —
+   under one budget and ordinal-window pre-check.
 
    Ops are *unary* closures over the machine; the head frame rides in
    [m.run_fr]. A unary unknown application compiles to a bare
@@ -26,14 +31,15 @@
      before executing, so a timeout fires with [dyn = budget + 1] in
      both engines.
    - ordinals: [inj_seen] advances exactly on tagged write-backs (and
-     call-return write-back via Machine.return), compiled statically
-     into the closures from the same tag mask the reference engine
-     reads dynamically.
+     call-return write-back via Machine.return_i/return_f), compiled
+     statically into the closures and traces from the same tag mask the
+     reference engine reads dynamically.
    - pause: the reference engine checks [inj_seen >= pause_at] before
      every dispatch, but ordinals only move on tagged write-backs and
-     frame switches — so checking right after each tagged write-back
-     (here) and at each driver re-entry is state-identical: the pause
-     lands at the same pc, dyn and ordinal.
+     return write-backs — so checking right after each of those (here:
+     [wbi]/[wbf], [resume_caller]) and at [exec] entry is
+     state-identical: the pause lands at the same pc, dyn and ordinal.
+     Traces never cross a pause (their ordinal window).
    - trap provenance: closures park [fr.pc] before any operation that
      can raise [Trap.Error] (division, float-to-int, memory access,
      call-depth check), so Interp.advance attributes the trap to the
@@ -119,6 +125,18 @@ let[@inline] setf (ops : op array) tg pc d m (fr : frame) x =
 let div_by_zero (fr : frame) pc =
   fr.pc <- pc;
   raise (Trap.Error Trap.Division_by_zero)
+
+(* Continue the caller's chain after a return: the return write-back
+   may have consumed an ordinal, so honor a pending pause first — the
+   reference engine checks it at the caller's next dispatch. Returns
+   unit when the entry frame returned (the machine halted). *)
+let resume_caller m =
+  if is_running m then begin
+    let fr = Array.unsafe_get m.frames m.depth in
+    m.run_fr <- fr;
+    if m.inj_seen >= m.pause_at then raise Pause_exn;
+    (Array.unsafe_get (Array.unsafe_get m.fast fr.fid) fr.pc) m
+  end
 
 let compile_instr (code : Code.t) (ops : op array) tg pc (ins : Code.d) : op =
   match ins with
@@ -544,32 +562,37 @@ let compile_instr (code : Code.t) (ops : op array) tg pc (ins : Code.d) : op =
       let callee_depth = m.depth + 1 in
       if callee_depth > max_call_depth then
         raise (Trap.Error (Trap.Call_stack_overflow callee_depth));
-      let iregs = Array.make ni 0 and fregs = Array.make nf 0.0 in
-      let src_i = fr.iregs in
+      let nfr = enter m cfid ni nf in
+      let src_i = fr.iregs and dst_i = nfr.iregs in
       for k = 0 to Array.length iargs - 1 do
         let src, dst = Array.unsafe_get iargs k in
-        iregs.(dst) <- src_i.(src)
+        Array.unsafe_set dst_i dst (Array.unsafe_get src_i src)
       done;
-      let src_f = fr.fregs in
+      let src_f = fr.fregs and dst_f = nfr.fregs in
       for k = 0 to Array.length fargs - 1 do
         let src, dst = Array.unsafe_get fargs k in
-        fregs.(dst) <- src_f.(src)
+        Array.unsafe_set dst_f dst (Array.unsafe_get src_f src)
       done;
-      m.depth <- callee_depth;
-      m.stack <- { fid = cfid; pc = 0; iregs; fregs } :: m.stack
-      (* head frame changed: return to the driver *)
+      (* A call moves no ordinal, so no pause can be due: switch the
+         head frame and keep threading into the callee. *)
+      m.cur_fid <- cfid;
+      m.run_fr <- nfr;
+      (Array.unsafe_get (Array.unsafe_get m.fast cfid) 0) m
   | Code.DRetI r ->
     fun m ->
       bump m;
-      return m (Some (Value.I (ig m.run_fr.iregs r)))
+      return_i m (ig m.run_fr.iregs r);
+      resume_caller m
   | Code.DRetF r ->
     fun m ->
       bump m;
-      return m (Some (Value.F (fg m.run_fr.fregs r)))
+      return_f m (fg m.run_fr.fregs r);
+      resume_caller m
   | Code.DRetV ->
     fun m ->
       bump m;
-      return m None
+      return_v m;
+      resume_caller m
 
 (* ------------------------------------------------------------------ *)
 (* Trace fusion.
@@ -588,15 +611,34 @@ let compile_instr (code : Code.t) (ops : op array) tg pc (ins : Code.d) : op =
    dispatch between micro-ops — the micro loop is a tail-recursive
    top-level function whose match compiles to one jump table.
 
+   Traces are built only at trace heads — the entry, branch and jump
+   targets, conditional fall-throughs, post-call pcs and the pcs where
+   other traces end (see [static_heads]) — so compiling an image costs
+   time linear in a function's block count. Elsewhere the classic
+   closure chain runs until it reaches a head.
+
    Equivalence with the per-instruction engines:
-   - Traces stop before tagged (injectable) instructions, calls,
-     returns and always-trapping immediates, so no ordinal moves and no
-     pause can fire inside a trace; the classic closure at the stop pc
-     handles those exactly as before.
+   - Traces stop before calls, returns and always-trapping immediates;
+     the classic closure at the stop pc handles those.
+   - Tagged (injectable) instructions run inside traces under their
+     untagged micro-op codes — so pair and multi-wide fusion apply to
+     them too — and are only counted: [ktag] per trace and a tagged-
+     prefix table per micro index. The trace is entered only when its
+     ordinal window [inj_seen, inj_seen + ktag) holds no planned fault
+     ([inj_seen + ktag <= next_planned]) and cannot reach a pause
+     ([inj_seen + ktag < pause_at]); otherwise the classic chain runs,
+     exactly as for the budget pre-check below, and lands the flip or
+     pauses where the reference engine does. Inside a trace no flip is
+     due and no pause can fire, so tagged write-backs are plain stores.
    - [m.dyn] is committed at every exit (deviated branch, trace end)
      and before any micro-op that can trap, after adding the trapping
      instruction itself — matching the reference loop's bump-then-
      execute order, so trap provenance and dyn counts are identical.
+     Every micro-op adds exactly one to dyn, so the committed dyn
+     locates the exit or trapping micro, and [mk_trace] commits
+     [inj_seen] from the prefix table next to it: at an exit every
+     counted micro has written back, at a trap the trapping one has
+     not.
    - The budget pre-check [dyn + klen > budget] falls back to the
      classic closure chain when a timeout *could* occur inside the
      trace; the classic chain then steps one instruction at a time (re-
@@ -629,6 +671,13 @@ type trace = {
   ttc : int array;  (* third operand: src2 / imm / offset / target *)
   taux : aux;  (* cold per-trace data: parked pcs, float pool *)
   tklen : int;  (* worst-case dyn contribution (= micro count) *)
+  tktag : int;  (* tagged micros: the ordinals a full run consumes *)
+  ttpre : int array;
+      (* [ttpre.(k)] = tagged micros among the first [k]; length
+         [tklen + 1]. Every micro adds exactly one to dyn, so the dyn a
+         trace has committed locates its exit or trap micro and this
+         table turns that into the ordinals consumed. *)
+  tend : int;  (* pc the walk stopped at: where the end micro exits *)
 }
 
 (* Micro opcode map (keep [go], [build_trace] and this table in sync;
@@ -2330,6 +2379,14 @@ let fuse_patterns =
     ([| 39; 20; 68 |], 122);
   |]
 
+(* [fuse_patterns] bucketed by first member opcode: the fusion pass
+   tries only the patterns that can match at the scan point. Unfused
+   opcodes are all below 80. *)
+let patterns_by_first =
+  Array.init 80 (fun c ->
+      List.filter (fun (pat, _) -> pat.(0) = c) (Array.to_list fuse_patterns)
+      |> Array.of_list)
+
 (* The superinstruction pair table: hot micro bigrams (profiled on the
    mlang app suite — array-indexing chains la/slli/add around loads
    dominate) fused into the 80+ opcode range. -1 = not fusable. *)
@@ -2363,27 +2420,59 @@ let fuse_code c1 c2 =
 let trace_cap = 256
 let trace_min = 3
 
+(* Does the instruction write a destination register? Exactly these
+   run the injection hook, so only these consume an ordinal when
+   tagged. *)
+let writes_reg : Code.d -> bool = function
+  | Code.DLi _ | Code.DLf _ | Code.DLa _ | Code.DMovI _ | Code.DMovF _
+  | Code.DBin _ | Code.DBini _ | Code.DCmp _ | Code.DFbin _ | Code.DFun _
+  | Code.DFcmp _ | Code.DI2f _ | Code.DF2i _ | Code.DLw _ | Code.DLb _
+  | Code.DLwf _ ->
+    true
+  | Code.DNop | Code.DSw _ | Code.DSb _ | Code.DSwf _ | Code.DBr _
+  | Code.DBrz _ | Code.DJmp _ | Code.DCall _ | Code.DRetI _ | Code.DRetF _
+  | Code.DRetV ->
+    false
+
 (* Flatten a straight-line trace starting at [start]. Returns [None]
    when fewer than [trace_min] instructions fuse (the classic closure
-   is at least as good then). *)
-let build_trace (body : Code.d array) (ftags : bool array) start : trace option
-    =
+   is at least as good then). Tagged instructions are flattened like
+   any other — their micro-op is the untagged one — and only counted:
+   [mk_trace] runs the trace only when no ordinal it can consume is
+   planned or paused on. A walk that hits the cap is cut back to the
+   last trace head it passed in its second half, so the trace exits
+   where another trace already starts instead of minting a new head
+   (and another 256-micro unrolling) at an arbitrary pc. *)
+let build_trace (body : Code.d array) (ftags : bool array) (heads : bool array)
+    start : trace option =
   let len = Array.length body in
   let cab = Array.make (trace_cap + 1) 0 in
   let c = Array.make (trace_cap + 1) 0 in
   let pcs = Array.make (trace_cap + 1) 0 in
+  let tpre = Array.make (trace_cap + 1) 0 in
   let fp = ref [] in
   let nfp = ref 0 in
   let n = ref 0 in
-  let tagged pc = Array.length ftags > 0 && Array.unsafe_get ftags pc in
-  let emit ?(a1 = 0) ?(b1 = 0) ?(c1 = 0) co pc =
+  let ntag = ref 0 in
+  let tagged pc =
+    Array.length ftags > 0 && Array.unsafe_get ftags pc && writes_reg body.(pc)
+  in
+  let emit co a1 b1 c1 pc =
     cab.(!n) <- (co lsl 40) lor (a1 lsl 20) lor b1;
     c.(!n) <- c1;
     pcs.(!n) <- pc;
+    tpre.(!n) <- !ntag;
+    if tagged pc then incr ntag;
     incr n
   in
+  let cut_n = ref 0 and cut_tag = ref 0 and cut_pc = ref 0 in
   let rec walk pc =
-    if !n >= trace_cap || pc >= len || tagged pc then pc
+    if pc < len && heads.(pc) && !n > 0 then begin
+      cut_n := !n;
+      cut_tag := !ntag;
+      cut_pc := pc
+    end;
+    if !n >= trace_cap || pc >= len then pc
     else
       match body.(pc) with
       | Code.DCall _ | Code.DRetI _ | Code.DRetF _ | Code.DRetV -> pc
@@ -2392,70 +2481,70 @@ let build_trace (body : Code.d array) (ftags : bool array) start : trace option
         pc
       | Code.DNop -> walk (pc + 1)
       | Code.DJmp t ->
-        emit 1 pc;
+        emit 1 0 0 0 pc;
         walk t
       | Code.DBr (op, ra, rb, t) ->
         if t <= pc then begin
           (* backward branch: assume taken (loop continues) *)
-          emit (62 + icmp op) ~a1:ra ~b1:rb ~c1:(pc + 1) pc;
+          emit (62 + icmp op) ra rb (pc + 1) pc;
           walk t
         end
         else begin
-          emit (56 + icmp op) ~a1:ra ~b1:rb ~c1:t pc;
+          emit (56 + icmp op) ra rb t pc;
           walk (pc + 1)
         end
       | Code.DBrz (op, ra, t) ->
         if t <= pc then begin
-          emit (74 + icmp op) ~a1:ra ~c1:(pc + 1) pc;
+          emit (74 + icmp op) ra 0 (pc + 1) pc;
           walk t
         end
         else begin
-          emit (68 + icmp op) ~a1:ra ~c1:t pc;
+          emit (68 + icmp op) ra 0 t pc;
           walk (pc + 1)
         end
       | Code.DLi (d, v) ->
-        emit 2 ~a1:d ~c1:v pc;
+        emit 2 d 0 v pc;
         walk (pc + 1)
       | Code.DLa (d, addr) ->
-        emit 3 ~a1:d ~c1:addr pc;
+        emit 3 d 0 addr pc;
         walk (pc + 1)
       | Code.DLf (d, x) ->
-        emit 4 ~a1:d ~b1:!nfp pc;
+        emit 4 d !nfp 0 pc;
         fp := x :: !fp;
         incr nfp;
         walk (pc + 1)
       | Code.DMovI (d, s) ->
-        emit 5 ~a1:d ~b1:s pc;
+        emit 5 d s 0 pc;
         walk (pc + 1)
       | Code.DMovF (d, s) ->
-        emit 6 ~a1:d ~b1:s pc;
+        emit 6 d s 0 pc;
         walk (pc + 1)
       | Code.DI2f (d, s) ->
-        emit 7 ~a1:d ~b1:s pc;
+        emit 7 d s 0 pc;
         walk (pc + 1)
       | Code.DF2i (d, s) ->
-        emit 8 ~a1:d ~b1:s pc;
+        emit 8 d s 0 pc;
         walk (pc + 1)
       | Code.DLw (d, base, off) ->
-        emit 9 ~a1:d ~b1:base ~c1:off pc;
+        emit 9 d base off pc;
         walk (pc + 1)
       | Code.DLb (d, base, off) ->
-        emit 10 ~a1:d ~b1:base ~c1:off pc;
+        emit 10 d base off pc;
         walk (pc + 1)
       | Code.DLwf (d, base, off) ->
-        emit 11 ~a1:d ~b1:base ~c1:off pc;
+        emit 11 d base off pc;
         walk (pc + 1)
       | Code.DSw (v, base, off) ->
-        emit 12 ~a1:v ~b1:base ~c1:off pc;
+        emit 12 v base off pc;
         walk (pc + 1)
       | Code.DSb (v, base, off) ->
-        emit 13 ~a1:v ~b1:base ~c1:off pc;
+        emit 13 v base off pc;
         walk (pc + 1)
       | Code.DSwf (v, base, off) ->
-        emit 14 ~a1:v ~b1:base ~c1:off pc;
+        emit 14 v base off pc;
         walk (pc + 1)
       | Code.DBin (op, d, ra, rb) ->
-        emit (15 + ibin op) ~a1:d ~b1:ra ~c1:rb pc;
+        emit (15 + ibin op) d ra rb pc;
         walk (pc + 1)
       | Code.DBini (op, d, ra, imm) ->
         let imm =
@@ -2463,63 +2552,80 @@ let build_trace (body : Code.d array) (ftags : bool array) start : trace option
           | Ir.Instr.Sll | Ir.Instr.Srl | Ir.Instr.Sra -> imm land 31
           | _ -> imm
         in
-        emit (26 + ibin op) ~a1:d ~b1:ra ~c1:imm pc;
+        emit (26 + ibin op) d ra imm pc;
         walk (pc + 1)
       | Code.DCmp (op, d, ra, rb) ->
-        emit (37 + icmp op) ~a1:d ~b1:ra ~c1:rb pc;
+        emit (37 + icmp op) d ra rb pc;
         walk (pc + 1)
       | Code.DFcmp (op, d, ra, rb) ->
-        emit (43 + icmp op) ~a1:d ~b1:ra ~c1:rb pc;
+        emit (43 + icmp op) d ra rb pc;
         walk (pc + 1)
       | Code.DFbin (op, d, ra, rb) ->
-        emit (49 + ifbin op) ~a1:d ~b1:ra ~c1:rb pc;
+        emit (49 + ifbin op) d ra rb pc;
         walk (pc + 1)
       | Code.DFun (op, d, s) ->
-        emit (53 + ifun op) ~a1:d ~b1:s pc;
+        emit (53 + ifun op) d s 0 pc;
         walk (pc + 1)
   in
   let end_pc = walk start in
+  let end_pc =
+    if !n >= trace_cap && !cut_n >= trace_cap / 2 then begin
+      n := !cut_n;
+      ntag := !cut_tag;
+      !cut_pc
+    end
+    else end_pc
+  in
   if !n < trace_min then None
   else begin
     let klen = !n in
-    emit 0 ~a1:end_pc end_pc;
-    (* Greedy superinstruction pairing over the finished sequence. The
-       end micro (code 0) is never in the pair table, so it cannot be
-       consumed as a second member. *)
-    let fj = ref 0 in
-    let match_at j (pat : int array) =
-      let w = Array.length pat in
-      j + w <= klen
-      &&
-      let ok = ref true in
-      for k = 0 to w - 1 do
-        if cab.(j + k) lsr 40 <> pat.(k) then ok := false
-      done;
-      !ok
-    in
-    while !fj < klen - 1 do
-      let fc = ref (-1) and fw = ref 0 in
-      let k = ref 0 in
-      while !fc < 0 && !k < Array.length fuse_patterns do
-        let pat, code = fuse_patterns.(!k) in
-        if match_at !fj pat then begin
-          fc := code;
-          fw := Array.length pat
-        end;
-        incr k
-      done;
-      if !fc < 0 then begin
-        let p = fuse_code (cab.(!fj) lsr 40) (cab.(!fj + 1) lsr 40) in
-        if p >= 0 then begin
-          fc := p;
-          fw := 2
+    let ktag = !ntag in
+    emit 0 end_pc 0 0 end_pc;
+    (* Superinstruction fusion over the finished sequence: choose the
+       segmentation into patterns, pairs and single micros with the
+       fewest dispatches ([best.(j)] for the suffix from [j]; ties keep
+       the wider unit). A trace now starts wherever its head is, so a
+       greedy left-to-right pass could pair away the first member of a
+       wide pattern. The end micro (code 0) is in no pattern or pair,
+       so it is never consumed as a member. *)
+    let opc = Array.init klen (fun j -> cab.(j) lsr 40) in
+    let best = Array.make (klen + 2) 0 in
+    let code_at = Array.make (klen + 1) (-1) in
+    let width = Array.make (klen + 1) 1 in
+    for j = klen - 1 downto 0 do
+      let first = opc.(j) in
+      best.(j) <- 1 + best.(j + 1);
+      let consider code w =
+        let c = 1 + best.(j + w) in
+        if c < best.(j) || (c = best.(j) && w > width.(j)) then begin
+          best.(j) <- c;
+          code_at.(j) <- code;
+          width.(j) <- w
         end
+      in
+      if j + 1 < klen then begin
+        let p = fuse_code first opc.(j + 1) in
+        if p >= 0 then consider p 2
       end;
-      if !fc >= 0 then begin
-        cab.(!fj) <- (cab.(!fj) land ((1 lsl 40) - 1)) lor (!fc lsl 40);
-        fj := !fj + !fw
-      end
-      else incr fj
+      let pats = patterns_by_first.(first) in
+      for q = 0 to Array.length pats - 1 do
+        let pat, code = pats.(q) in
+        let w = Array.length pat in
+        if j + w <= klen && 1 + best.(j + w) <= best.(j) then begin
+          let k = ref 1 in
+          while !k < w && opc.(j + !k) = pat.(!k) do
+            incr k
+          done;
+          if !k = w then consider code w
+        end
+      done
+    done;
+    let j = ref 0 in
+    while !j < klen do
+      let fc = code_at.(!j) in
+      if fc >= 0 then
+        cab.(!j) <- (cab.(!j) land ((1 lsl 40) - 1)) lor (fc lsl 40);
+      j := !j + width.(!j)
     done;
     Some
       {
@@ -2528,23 +2634,84 @@ let build_trace (body : Code.d array) (ftags : bool array) start : trace option
         taux =
           { xpc = Array.sub pcs 0 !n; xfp = Array.of_list (List.rev !fp) };
         tklen = klen;
+        tktag = ktag;
+        ttpre = Array.sub tpre 0 (klen + 1);
+        tend = end_pc;
       }
   end
 
 (* [slow] is the classic per-instruction closure for the same pc: the
-   stepwise path that makes timeouts land at exactly dyn = budget + 1
-   when the trace's worst case could overrun the budget. *)
+   stepwise path taken whenever the trace's worst case could reach
+   something the fused loop does not check per micro-op — a timeout
+   (the budget), a planned fault or a pause (the ordinal window
+   [inj_seen, inj_seen + ktag)). The classic chain then steps one
+   instruction at a time, re-checking at each trace head it meets, so
+   the timeout, the flip and the pause land exactly where the reference
+   engine puts them.
+
+   A trace with no tagged micro has an empty window, so it needs only
+   the budget check: its closure skips the window test, the trap
+   handler and the ordinal commit. The general closure would run it
+   identically; the split is kept because it pays — on the benchmark's
+   [campaign] workload (10 alternating 20 s pairs, 2-vCPU VM) it raised
+   [throughput_per_s] from a median of 441 to 483, winning all ten
+   pairs. *)
 let mk_trace (tr : trace) (tbl : op array) (slow : op) : op =
   let cab = tr.tcab and tc = tr.ttc and aux = tr.taux and klen = tr.tklen in
- fun m ->
-  if m.dyn + klen > m.budget then slow m
-  else begin
-    let fr = m.run_fr in
-    (Array.unsafe_get tbl (run_trace m fr fr.iregs fr.fregs cab tc aux)) m
-  end
+  let ktag = tr.tktag and tpre = tr.ttpre in
+  if ktag = 0 then fun m ->
+    if m.dyn + klen > m.budget then slow m
+    else begin
+      let fr = m.run_fr in
+      (Array.unsafe_get tbl (run_trace m fr fr.iregs fr.fregs cab tc aux)) m
+    end
+  else fun m ->
+    let s = m.inj_seen in
+    if
+      m.dyn + klen > m.budget
+      || s + ktag > m.next_planned
+      || s + ktag >= m.pause_at
+    then slow m
+    else begin
+      let fr = m.run_fr and d0 = m.dyn in
+      (* Commit the ordinals the run consumed: at an exit, every micro
+         counted in dyn has written back; at a trap, the trapping micro
+         (the last one counted) has not. *)
+      let t =
+        try run_trace m fr fr.iregs fr.fregs cab tc aux
+        with Trap.Error _ as e ->
+          m.inj_seen <- s + Array.unsafe_get tpre (m.dyn - d0 - 1);
+          raise e
+      in
+      m.inj_seen <- s + Array.unsafe_get tpre (m.dyn - d0);
+      (Array.unsafe_get tbl t) m
+    end
+
+(* Trace heads: every pc where a chain can enter or re-enter a block —
+   the entry, branch and jump targets, conditional fall-throughs (where
+   an assume-taken branch exits on deviation) and post-call pcs (where
+   a return resumes); [compile_func] adds each trace's end pc as it
+   goes. Building traces only here keeps image compilation linear in
+   the function's block count rather than its instruction count. *)
+let static_heads (body : Code.d array) =
+  let len = Array.length body in
+  let heads = Array.make (len + 1) false in
+  let mark pc = if pc < len then heads.(pc) <- true in
+  mark 0;
+  Array.iteri
+    (fun pc (d : Code.d) ->
+      match d with
+      | Code.DBr (_, _, _, t) | Code.DBrz (_, _, t) ->
+        mark t;
+        mark (pc + 1)
+      | Code.DJmp t -> mark t
+      | Code.DCall _ -> mark (pc + 1)
+      | _ -> ())
+    body;
+  heads
 
 let compile_func (code : Code.t) (tags : bool array array) fid
-    (df : Code.dfunc) : op array =
+    (df : Code.dfunc) : op array * int array =
   let body = df.Code.dbody in
   let len = Array.length body in
   let ftags = if Array.length tags > 0 then tags.(fid) else no_tags in
@@ -2560,41 +2727,57 @@ let compile_func (code : Code.t) (tags : bool array array) fid
     let tg = Array.length ftags > 0 && Array.unsafe_get ftags pc in
     ops.(pc) <- compile_instr code ops tg pc body.(pc)
   done;
-  (* Overlay trace closures wherever a fusable run starts. Classic
-     closures captured the [ops] array itself, so their successor
-     dispatch — and every branch target — picks up the trace version
-     automatically; the pre-overlay copy keeps the pure classic closure
-     reachable for the near-budget fallback. *)
+  (* Overlay trace closures at the heads. Classic closures captured the
+     [ops] array itself, so their successor dispatch — and every branch
+     target — picks up the trace version automatically; the pre-overlay
+     copy keeps the pure classic closure reachable for the fallback. *)
   let classic = Array.copy ops in
-  for pc = 0 to len - 1 do
-    match build_trace body ftags pc with
-    | Some tr -> ops.(pc) <- mk_trace tr ops classic.(pc)
-    | None -> ()
-  done;
-  ops
+  let shapes = Array.make len (-1) in
+  let heads = static_heads body in
+  let work = ref [] in
+  Array.iteri (fun pc h -> if h && pc < len then work := pc :: !work) heads;
+  let rec drain () =
+    match !work with
+    | [] -> ()
+    | pc :: rest ->
+      work := rest;
+      (match build_trace body ftags heads pc with
+       | Some tr ->
+         ops.(pc) <- mk_trace tr ops classic.(pc);
+         shapes.(pc) <- (tr.tklen lsl 20) lor tr.tktag;
+         if tr.tend < len && not heads.(tr.tend) then begin
+           heads.(tr.tend) <- true;
+           work := tr.tend :: !work
+         end
+       | None -> ());
+      drain ()
+  in
+  drain ();
+  (ops, shapes)
 
 let compile ?(tags = ([||] : bool array array)) (code : Code.t) : image =
+  let funcs =
+    Array.mapi (fun fid df -> compile_func code tags fid df) code.Code.funcs
+  in
   {
     icode = code;
     itags = tags;
-    iops =
-      Array.mapi (fun fid df -> compile_func code tags fid df) code.Code.funcs;
+    iops = Array.map fst funcs;
+    ishapes = Array.map snd funcs;
     imem_strict = Memory.of_prog ~lenient:false code.Code.prog;
     imem_lenient = Memory.of_prog ~lenient:true code.Code.prog;
   }
 
-(* The driver: re-entered once per frame switch (and once at start /
-   after a resume). Mirrors the reference loop's per-dispatch pause
-   check at each re-entry; within a frame the compiled chain handles
-   pausing itself (see wbi/wbf). *)
+(* The entry dispatch, once per [advance] (at start and after a pause
+   or resume). Mirrors the reference loop's per-dispatch pause check at
+   entry; from there the compiled chain threads through calls and
+   returns, handles pausing itself (see wbi/wbf, resume_caller) and
+   returns only once the machine has halted. *)
 let exec (m : Machine.t) =
-  let fast = m.fast in
-  while is_running m do
-    match m.stack with
-    | fr :: _ ->
-      m.cur_fid <- fr.fid;
-      m.run_fr <- fr;
-      if m.inj_seen >= m.pause_at then raise Pause_exn;
-      (Array.unsafe_get (Array.unsafe_get fast fr.fid) fr.pc) m
-    | [] -> assert false
-  done
+  if is_running m then begin
+    let fr = m.frames.(m.depth) in
+    m.cur_fid <- fr.fid;
+    m.run_fr <- fr;
+    if m.inj_seen >= m.pause_at then raise Pause_exn;
+    (Array.unsafe_get (Array.unsafe_get m.fast fr.fid) fr.pc) m
+  end

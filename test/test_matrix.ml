@@ -299,6 +299,22 @@ let test_spec_of_json () =
   (match parse {|{"policies": ["bogus"]}|} with
    | Ok _ -> Alcotest.fail "bogus policy accepted"
    | Error _ -> ());
+  (* Out-of-range sizes get the shared range check's typed error;
+     errors 0 and trials 1 are the boundaries and pass. *)
+  List.iter
+    (fun (spec, expect) ->
+      match parse spec with
+      | Ok _ -> Alcotest.failf "accepted %s" spec
+      | Error e -> Alcotest.(check string) spec expect e)
+    [
+      ({|{"errors": [3, -1]}|}, "errors must be >= 0, got -1");
+      ({|{"trials": 0}|}, "trials must be >= 1, got 0");
+      ({|{"trials": -4}|}, "trials must be >= 1, got -4");
+    ];
+  (match parse {|{"errors": [0], "trials": 1}|} with
+   | Ok s ->
+     Alcotest.(check (list int)) "errors 0 accepted" [ 0 ] s.Harness.Matrix.errors
+   | Error e -> Alcotest.failf "boundary spec rejected: %s" e);
   match parse {|[1, 2]|} with
   | Ok _ -> Alcotest.fail "non-object spec accepted"
   | Error _ -> ()

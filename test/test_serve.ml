@@ -10,8 +10,9 @@
      no app reload, no target re-preparation, zero trials executed;
    - two identical in-flight requests coalesce: trials run exactly
      once and both clients receive the same document;
-   - failures are typed responses, never crashes: unknown apps and
-     malformed lines leave the connection serving, a client that
+   - failures are typed responses, never crashes: unknown apps,
+     malformed lines and out-of-range campaign sizes (errors < 0,
+     trials < 1) leave the connection serving, a client that
      vanishes mid-request leaves the daemon serving. *)
 
 let rec rm_rf path =
@@ -384,6 +385,54 @@ let test_typed_failures () =
   Alcotest.(check int) "daemon-side failure count" 2
     (Harness.Serve.failed_requests t)
 
+(* Out-of-range campaign sizes are typed failures at parse time, for
+   inject fields and matrix specs alike; the boundary values pass. *)
+let test_count_ranges () =
+  List.iter
+    (fun (line, expect) ->
+      match Harness.Proto.request_of_line line with
+      | id, Error e ->
+        Alcotest.(check bool) (line ^ ": id salvaged") true
+          (id = Report.Json.Int 5);
+        Alcotest.(check string) (line ^ ": message") expect e
+      | _, Ok _ -> Alcotest.failf "accepted %s" line)
+    [
+      ( {|{"id":5,"cmd":"inject","app":"gsm","trials":-1}|},
+        "trials must be >= 1, got -1" );
+      ( {|{"id":5,"cmd":"inject","app":"gsm","errors":-3}|},
+        "errors must be >= 0, got -3" );
+      ( {|{"id":5,"cmd":"inject","app":"gsm","trials":0}|},
+        "trials must be >= 1, got 0" );
+      ( {|{"id":5,"cmd":"matrix","spec":{"apps":["gsm"],"errors":[1,-2]}}|},
+        "errors must be >= 0, got -2" );
+      ( {|{"id":5,"cmd":"matrix","spec":{"apps":["gsm"],"trials":0}}|},
+        "trials must be >= 1, got 0" );
+    ];
+  (match
+     Harness.Proto.request_of_line
+       {|{"id":6,"cmd":"inject","app":"gsm","errors":0,"trials":1}|}
+   with
+   | _, Ok (Harness.Proto.Inject i) ->
+     Alcotest.(check (pair int int)) "boundary counts accepted" (0, 1)
+       (i.Harness.Proto.errors, i.Harness.Proto.trials)
+   | _ -> Alcotest.fail "boundary counts rejected");
+  (* Served: each bad line is answered [failed] and the connection
+     keeps serving. *)
+  with_serve @@ fun t ->
+  let responses =
+    exchange t
+      [
+        inject_line ~id:1 ~errors:1 ~trials:(-1) ~seed:1 "adpcm";
+        inject_line ~id:2 ~errors:(-3) ~trials:2 ~seed:1 "adpcm";
+        inject_line ~id:3 ~errors:1 ~trials:0 ~seed:1 "adpcm";
+        inject_line ~id:4 ~errors:0 ~trials:1 ~seed:1 "adpcm";
+      ]
+  in
+  Alcotest.(check (list bool)) "statuses" [ false; false; false; true ]
+    (List.map (fun l -> (reply_exn l).Harness.Proto.ok) responses);
+  Alcotest.(check int) "daemon-side failure count" 3
+    (Harness.Serve.failed_requests t)
+
 let test_client_disconnect () =
   with_serve @@ fun t ->
   (* Client sends a request then vanishes — both pipe ends closed
@@ -449,6 +498,8 @@ let () =
         [
           Alcotest.test_case "typed failures keep the connection up" `Quick
             test_typed_failures;
+          Alcotest.test_case "out-of-range counts are typed failures" `Quick
+            test_count_ranges;
           Alcotest.test_case "client disconnect mid-request" `Quick
             test_client_disconnect;
         ] );
